@@ -465,6 +465,18 @@ impl Core {
         self.cycle
     }
 
+    /// Issue-queue occupancy: the instructions in the window waiting to
+    /// issue, and how many of those still wait on an incomplete source
+    /// operand.
+    pub fn iq_occupancy(&self) -> (usize, usize) {
+        let waiting = self.rob.iter().filter(|d| d.state == InstState::Waiting);
+        let blocked = waiting
+            .clone()
+            .filter(|d| !(self.src_ready(d.srcs[0]) && self.src_ready(d.srcs[1])))
+            .count();
+        (waiting.count(), blocked)
+    }
+
     /// Serializes the complete core state — architectural machine, warm
     /// memory hierarchy, branch-prediction state, and every in-flight
     /// instruction — as snapshot fields (no version header; see

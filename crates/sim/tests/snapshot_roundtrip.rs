@@ -290,3 +290,87 @@ fn machine_checkpointed_mid_swap_roundtrips_bit_identically() {
         assert_eq!(split_core.cycle(), ref_core.cycle());
     }
 }
+
+// --- Full-issue-queue checkpoints -----------------------------------------
+//
+// The core's issue-stage bookkeeping (which instructions wait on which
+// producer, which are ready, the load and store queues) is derived from
+// the ROB at decode rather than serialized. These checkpoints are cut
+// while that state is at its fullest: the issue queue full and
+// instructions waiting on incomplete producers.
+
+/// Cycles between checkpoint candidates.
+const CHECK_EVERY: u64 = 1_500;
+/// Checkpoints restored and run to the end.
+const CHECKPOINTS: usize = 4;
+/// The cycle whose snapshot bytes are pinned by content hash.
+const PINNED_CYCLE: u64 = 6_000;
+/// `content_key` of the libquantum baseline core's snapshot at
+/// [`PINNED_CYCLE`], captured before the issue stage was made
+/// event-driven.
+const PINNED_KEY: u64 = 0x95d8_2615_a15f_2677;
+
+#[test]
+fn libquantum_full_issue_queue_checkpoints_roundtrip() {
+    let uc = usecases::libquantum_scale();
+    let rc = RunConfig::test_scale();
+    let iq_size = rc.core.iq_size;
+
+    let mut core = Core::new(
+        rc.core.clone(),
+        uc.machine(),
+        Hierarchy::new(rc.hier.clone()),
+    );
+    let mut snaps = Vec::new();
+    let mut pinned = None;
+    while !core.finished() && core.stats().retired < TOTAL {
+        if core.cycle() == PINNED_CYCLE {
+            pinned = Some(pfm_isa::snap::content_key(&core.snapshot()));
+        }
+        if core.cycle().is_multiple_of(CHECK_EVERY) && snaps.len() < CHECKPOINTS {
+            let (waiting, blocked) = core.iq_occupancy();
+            if waiting >= iq_size && blocked > 0 {
+                snaps.push(core.snapshot());
+            }
+        }
+        core.tick(&mut NoPfm).expect("functional fault");
+    }
+    assert!(core.stats().retired >= TOTAL, "workload too short");
+    assert_eq!(
+        snaps.len(),
+        CHECKPOINTS,
+        "the issue queue was full at too few checkpoint candidates"
+    );
+    assert_eq!(
+        pinned,
+        Some(PINNED_KEY),
+        "snapshot bytes at cycle {PINNED_CYCLE} changed"
+    );
+
+    for (i, bytes) in snaps.iter().enumerate() {
+        let mut resumed =
+            Core::restore(rc.core.clone(), rc.hier.clone(), uc.program.clone(), bytes)
+                .expect("core restores");
+        assert_eq!(
+            &resumed.snapshot(),
+            bytes,
+            "checkpoint {i}: re-encode differs"
+        );
+        tick_until(&mut resumed, &mut NoPfm, TOTAL);
+        assert_eq!(
+            resumed.commit_checksum(),
+            core.commit_checksum(),
+            "checkpoint {i}: committed stream diverged after restore"
+        );
+        assert_eq!(
+            resumed.stats(),
+            core.stats(),
+            "checkpoint {i}: core stats diverged"
+        );
+        assert_eq!(
+            resumed.hierarchy().stats(),
+            core.hierarchy().stats(),
+            "checkpoint {i}: hierarchy stats diverged"
+        );
+    }
+}
