@@ -10,7 +10,7 @@
 //! repro --quick fig12        # smaller instruction budget
 //! repro --all --jobs 4       # four worker threads
 //! repro --list               # what can be regenerated (+ store hit/miss)
-//! repro --bench              # simulator MKIPS throughput benchmark
+//! repro --bench              # simulator MKIPS benchmark (appends to BENCH_history.jsonl)
 //! repro --bench --functional # + functional-executor batch and speedup
 //! repro --sampled libquantum # sampled run: fast-forward + detailed intervals
 //! repro --analyze            # static analysis of every use case
@@ -374,7 +374,20 @@ fn main() {
         if let Err(e) = std::fs::write(OUT, report.to_json()) {
             fail(&format!("cannot write {OUT}"), e);
         }
-        eprintln!("wrote {OUT}");
+        // The trajectory: every run appends one line, none overwrites.
+        const HISTORY: &str = "BENCH_history.jsonl";
+        let appended = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(HISTORY)
+            .and_then(|mut f| {
+                use std::io::Write;
+                f.write_all(format!("{}\n", report.to_json_line()).as_bytes())
+            });
+        if let Err(e) = appended {
+            fail(&format!("cannot append to {HISTORY}"), e);
+        }
+        eprintln!("wrote {OUT}, appended to {HISTORY}");
         return;
     }
 

@@ -84,6 +84,12 @@ impl CoreConfig {
         }
     }
 
+    /// Instructions the front-end pipe holds: a fetch bundle per stage
+    /// plus the one being fetched.
+    pub fn front_capacity(&self) -> usize {
+        self.fetch_width * (self.front_depth as usize + 1)
+    }
+
     /// Free physical registers available for renaming (PRF minus the
     /// committed architectural state).
     pub fn rename_regs(&self) -> usize {

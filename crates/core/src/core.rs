@@ -21,8 +21,9 @@ use crate::hooks::{
     FabricLoadResult, FetchOverride, PfmHooks, RetireDirective, RetireInfo, SquashKind,
 };
 use crate::stats::SimStats;
+use crate::window::{BranchMeta, BranchTable, MemOp, MemQueue, WakeupRing, NOT_ISSUED};
 use pfm_bpred::{BranchKind, Btb, Checkpoint, Prediction, Predictor, Ras};
-use pfm_isa::fxhash::{FxHashMap, FxHashSet};
+use pfm_isa::fxhash::FxHashMap;
 use pfm_isa::inst::{ExecClass, Inst};
 use pfm_isa::machine::{ExecError, Machine, StepOut};
 use pfm_isa::program::Program;
@@ -75,7 +76,8 @@ enum InstState {
     Completed,
 }
 
-/// One in-flight dynamic instruction.
+/// One in-flight dynamic instruction. Its branch-predictor state lives
+/// in the core's [`BranchTable`], not here.
 #[derive(Clone, Debug)]
 struct DynInst {
     step: StepOut,
@@ -96,8 +98,6 @@ struct DynInst {
     target_mispredicted: bool,
     /// Prediction was supplied by the Fetch Agent.
     from_fabric: bool,
-    prediction: Option<Prediction>,
-    checkpoint: Option<Checkpoint>,
     ras_snap: Option<(usize, usize)>,
 }
 
@@ -108,14 +108,26 @@ impl DynInst {
     fn is_store(&self) -> bool {
         self.info.class == ExecClass::Store
     }
-    fn mem_range(&self) -> Option<(u64, u64)> {
-        self.step.mem.map(|m| (m.addr, m.addr + m.size))
+    /// The load/store-queue entry for this memory operation. A record
+    /// without an access gets an empty range, which overlaps nothing.
+    fn mem_op(&self) -> MemOp {
+        let range = self.step.mem.map_or((0, 0), |m| (m.addr, m.addr + m.size));
+        let issue_cycle = match self.state {
+            InstState::Issued | InstState::Completed => self.issue_cycle,
+            InstState::InFront | InstState::Waiting => NOT_ISSUED,
+        };
+        MemOp {
+            seq: self.step.seq,
+            range,
+            issue_cycle,
+        }
     }
 
-    /// Serializes one in-flight instruction's timing state. The decoded
-    /// [`InstInfo`] is not serialized: it is a pure function of the
-    /// instruction, re-derived at decode.
-    fn snapshot_encode(&self, e: &mut Enc) {
+    /// Serializes one in-flight instruction's timing state, with its
+    /// branch-predictor state `meta` from the side table inline. The
+    /// decoded [`InstInfo`] is not serialized: it is a pure function of
+    /// the instruction, re-derived at decode.
+    fn snapshot_encode(&self, meta: Option<&BranchMeta>, e: &mut Enc) {
         self.step.snapshot_encode(e);
         e.u8(match self.state {
             InstState::InFront => 0,
@@ -140,14 +152,14 @@ impl DynInst {
         e.bool(self.mispredicted);
         e.bool(self.target_mispredicted);
         e.bool(self.from_fabric);
-        match &self.prediction {
+        match meta.and_then(|m| m.prediction.as_ref()) {
             None => e.u8(0),
             Some(p) => {
                 e.u8(1);
                 p.snapshot_encode(e);
             }
         }
-        match &self.checkpoint {
+        match meta.and_then(|m| m.checkpoint.as_ref()) {
             None => e.u8(0),
             Some(cp) => {
                 e.u8(1);
@@ -166,8 +178,12 @@ impl DynInst {
 
     /// Decodes an instruction serialized by
     /// [`DynInst::snapshot_encode`], re-fetching the instruction from
-    /// `program`.
-    fn snapshot_decode(program: &Program, d: &mut Dec<'_>) -> Result<DynInst, SnapError> {
+    /// `program`, and records its branch-predictor state in `branches`.
+    fn snapshot_decode(
+        program: &Program,
+        branches: &mut BranchTable,
+        d: &mut Dec<'_>,
+    ) -> Result<DynInst, SnapError> {
         let step = StepOut::snapshot_decode(program, d)?;
         let info = step.inst.info();
         let state = match d.u8()? {
@@ -208,6 +224,9 @@ impl DynInst {
             1 => Some((d.usize()?, d.usize()?)),
             _ => return Err(SnapError::Corrupt("ras snapshot tag")),
         };
+        if prediction.is_some() || checkpoint.is_some() {
+            branches.set(step.seq, prediction, checkpoint);
+        }
         Ok(DynInst {
             step,
             info,
@@ -221,15 +240,9 @@ impl DynInst {
             mispredicted,
             target_mispredicted,
             from_fabric,
-            prediction,
-            checkpoint,
             ras_snap,
         })
     }
-}
-
-fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
-    a.0 < b.1 && b.0 < a.1
 }
 
 /// Errors from a simulation run.
@@ -301,7 +314,14 @@ pub struct Core {
     event_pool: Vec<Vec<u64>>,
     fabric_load_events: FxHashMap<u64, Vec<(u64, u64, u64)>>, // cycle -> (id, addr, size)
     fabric_load_pool: Vec<Vec<(u64, u64, u64)>>,
-    inflight_incomplete: FxHashSet<u64>,
+    /// Operand readiness, waiter lists and the ready set (event-driven
+    /// issue). Derived from the ROB.
+    wake: WakeupRing,
+    /// Load and store queues in program order. Derived from the ROB.
+    lq: MemQueue,
+    sq: MemQueue,
+    /// Prediction and checkpoint of every in-flight conditional branch.
+    branches: BranchTable,
     last_writer: [Option<u64>; NUM_ARCH_REGS],
     /// Reused squash scratch: avoids a fresh allocation per squash.
     squash_scratch: Vec<StepOut>,
@@ -316,9 +336,13 @@ pub struct Core {
     /// from this at the end of every dispatch, replacing what used to
     /// be an O(ROB) recount per cycle.
     waiting_count: usize,
-    lq_count: usize,
-    sq_count: usize,
     dest_count: usize,
+    /// Bumped by every change to the window (dispatch, issue,
+    /// completion, retire, squash). The debug-build window cross-check
+    /// runs only when it moved since `window_checked`, so a window
+    /// stalled on a long miss is not re-verified every cycle.
+    window_changes: u64,
+    window_checked: u64,
 
     fetch_stall_until: u64,
     fetch_blocked_on: Option<u64>,
@@ -363,6 +387,8 @@ impl Core {
     pub fn new(config: CoreConfig, machine: Machine, hierarchy: Hierarchy) -> Core {
         let bp = Predictor::new(config.predictor);
         let ras_depth = config.ras_depth;
+        let wake = WakeupRing::new(config.rob_size);
+        let branches = BranchTable::new(config.rob_size + config.front_capacity());
         Core {
             config,
             machine,
@@ -379,14 +405,17 @@ impl Core {
             event_pool: Vec::new(),
             fabric_load_events: FxHashMap::default(),
             fabric_load_pool: Vec::new(),
-            inflight_incomplete: FxHashSet::default(),
+            wake,
+            lq: MemQueue::default(),
+            sq: MemQueue::default(),
+            branches,
             last_writer: [None; NUM_ARCH_REGS],
             squash_scratch: Vec::new(),
             iq_count: 0,
             waiting_count: 0,
-            lq_count: 0,
-            sq_count: 0,
             dest_count: 0,
+            window_changes: 0,
+            window_checked: u64::MAX,
             fetch_stall_until: 0,
             fetch_blocked_on: None,
             halt_fetched: false,
@@ -469,12 +498,8 @@ impl Core {
     /// issue, and how many of those still wait on an incomplete source
     /// operand.
     pub fn iq_occupancy(&self) -> (usize, usize) {
-        let waiting = self.rob.iter().filter(|d| d.state == InstState::Waiting);
-        let blocked = waiting
-            .clone()
-            .filter(|d| !(self.src_ready(d.srcs[0]) && self.src_ready(d.srcs[1])))
-            .count();
-        (waiting.count(), blocked)
+        let ready = self.wake.ready_count();
+        (self.waiting_count, self.waiting_count - ready)
     }
 
     /// Serializes the complete core state — architectural machine, warm
@@ -486,8 +511,10 @@ impl Core {
     /// is *not* serialized: it comes from the run key and is passed back
     /// to [`Core::restore`]. Scratch pools (event buckets, squash
     /// scratch) and bookkeeping that is a pure function of the window
-    /// (rename map, in-flight set, queue occupancy counts) are rebuilt
-    /// at decode rather than serialized.
+    /// (rename map, wakeup ring, load/store queues, queue occupancy
+    /// counts) are rebuilt at decode rather than serialized. Branch
+    /// predictor state, kept in a side table while in flight, is
+    /// encoded inline with its instruction.
     ///
     /// The encoding is canonical: equal state always produces equal
     /// bytes, so `content_key` over the stream is a stable dedup key.
@@ -500,11 +527,11 @@ impl Core {
         e.u64(self.cycle);
         e.usize(self.front.len());
         for d in &self.front {
-            d.snapshot_encode(e);
+            d.snapshot_encode(self.branches.get(d.step.seq), e);
         }
         e.usize(self.rob.len());
         for d in &self.rob {
-            d.snapshot_encode(e);
+            d.snapshot_encode(self.branches.get(d.step.seq), e);
         }
         e.usize(self.replay.len());
         for s in &self.replay {
@@ -609,11 +636,13 @@ impl Core {
         let program = core.machine.program().clone();
         let n = d.seq_len()?;
         for _ in 0..n {
-            core.front.push_back(DynInst::snapshot_decode(&program, d)?);
+            let di = DynInst::snapshot_decode(&program, &mut core.branches, d)?;
+            core.front.push_back(di);
         }
         let n = d.seq_len()?;
         for _ in 0..n {
-            core.rob.push_back(DynInst::snapshot_decode(&program, d)?);
+            let di = DynInst::snapshot_decode(&program, &mut core.branches, d)?;
+            core.rob.push_back(di);
         }
         let n = d.seq_len()?;
         for _ in 0..n {
@@ -635,11 +664,25 @@ impl Core {
             }
             true
         };
-        if !ascending(&mut core.rob.iter().map(|d| d.step.seq))
-            || !ascending(&mut core.front.iter().map(|d| d.step.seq))
-            || !ascending(&mut core.replay.iter().map(|s| s.seq))
-        {
+        // The ROB and the front-end pipe hold consecutive seqs (the
+        // seq-indexed rings below depend on it), within their sizes.
+        let mut window = core.rob.iter().chain(core.front.iter());
+        let contiguous = window.next().is_none_or(|first| {
+            (first.step.seq..)
+                .zip(window)
+                .all(|(prev, d)| d.step.seq == prev + 1)
+        });
+        if !contiguous || !ascending(&mut core.replay.iter().map(|s| s.seq)) {
             return Err(SnapError::Corrupt("window order"));
+        }
+        if core.rob.len() > core.config.rob_size || core.front.len() > core.config.front_capacity()
+        {
+            return Err(SnapError::Corrupt("window size"));
+        }
+        if core.rob.iter().any(|d| d.state == InstState::InFront)
+            || core.front.iter().any(|d| d.state != InstState::InFront)
+        {
+            return Err(SnapError::Corrupt("window state"));
         }
 
         let n = d.seq_len()?;
@@ -693,21 +736,35 @@ impl Core {
         core.stats = SimStats::snapshot_decode(d)?;
 
         // Rebuild the window bookkeeping that is a pure function of the
-        // ROB (exactly the squash-path rebuild): rename map, in-flight
-        // set, and occupancy counts.
+        // ROB: rename map, wakeup ring, load/store queues, and occupancy
+        // counts. Replaying dispatch in age order registers every
+        // waiting instruction with its still-incomplete producers.
         for di in &core.rob {
+            let seq = di.step.seq;
             if let Some((reg, _)) = di.step.wrote {
-                core.last_writer[reg.index()] = Some(di.step.seq);
+                core.last_writer[reg.index()] = Some(seq);
             }
-            core.lq_count += usize::from(di.is_load());
-            core.sq_count += usize::from(di.is_store());
+            if di.is_load() {
+                core.lq.push(di.mem_op());
+            }
+            if di.is_store() {
+                core.sq.push(di.mem_op());
+            }
             core.dest_count += usize::from(di.has_dst);
-            core.waiting_count += usize::from(di.state == InstState::Waiting);
-            if matches!(di.state, InstState::Waiting | InstState::Issued) {
-                core.inflight_incomplete.insert(di.step.seq);
+            match di.state {
+                InstState::Waiting => {
+                    core.waiting_count += 1;
+                    core.wake.dispatch(seq, di.srcs);
+                }
+                InstState::Issued => {
+                    core.wake.dispatch(seq, [None, None]);
+                    core.wake.issue(seq);
+                }
+                InstState::InFront | InstState::Completed => {}
             }
         }
         core.iq_count = core.waiting_count;
+        core.debug_check_window();
         Ok(core)
     }
 
@@ -872,6 +929,7 @@ impl Core {
             // pfm-lint: allow(hygiene): front() just returned Some
             let inst = self.rob.pop_front().expect("head exists");
             let seq = inst.step.seq;
+            self.window_changes += 1;
 
             // Commit stores: architectural memory + write-buffer D$
             // access (does not stall retire).
@@ -881,11 +939,11 @@ impl Core {
                 let m = inst.step.mem.expect("store has a memory access");
                 self.hierarchy.access(m.addr, AccessKind::Store, self.cycle);
                 self.stats.stores += 1;
-                self.sq_count -= 1;
+                self.sq.retire(seq);
             }
             if inst.is_load() {
                 self.stats.loads += 1;
-                self.lq_count -= 1;
+                self.lq.retire(seq);
             }
             if inst.has_dst {
                 self.dest_count -= 1;
@@ -903,7 +961,7 @@ impl Core {
                 if inst.from_fabric {
                     self.stats.fabric_predictions_used += 1;
                 }
-                if let Some(pred) = &inst.prediction {
+                if let Some(pred) = self.branches.get(seq).and_then(|m| m.prediction.as_ref()) {
                     self.bp.train(inst.step.pc, inst.step.taken, pred);
                 }
             }
@@ -933,7 +991,7 @@ impl Core {
                     self.last_writer[reg.index()] = None;
                 }
             }
-            self.inflight_incomplete.remove(&seq);
+            debug_assert!(!self.wake.is_incomplete(seq));
 
             self.stats.retired += 1;
             if self.stats.retired <= self.checksum_cap {
@@ -974,8 +1032,15 @@ impl Core {
     // Complete / writeback
     // ------------------------------------------------------------------
 
+    /// Position of `seq` in the ROB. Its seqs are consecutive, so this
+    /// is an offset from the head.
     fn rob_pos(&self, seq: u64) -> Option<usize> {
-        self.rob.binary_search_by_key(&seq, |d| d.step.seq).ok()
+        let head = self.rob.front()?.step.seq;
+        let pos = usize::try_from(seq.checked_sub(head)?).ok()?;
+        (pos < self.rob.len()).then(|| {
+            debug_assert_eq!(self.rob[pos].step.seq, seq);
+            pos
+        })
     }
 
     fn complete(&mut self, hooks: &mut dyn PfmHooks) {
@@ -1006,7 +1071,8 @@ impl Core {
                 continue; // stale event from a squashed incarnation
             }
             self.rob[pos].state = InstState::Completed;
-            self.inflight_incomplete.remove(&seq);
+            self.wake.complete(seq);
+            self.window_changes += 1;
 
             let is_store = self.rob[pos].is_store();
             let mispredicted = self.rob[pos].mispredicted || self.rob[pos].target_mispredicted;
@@ -1015,23 +1081,8 @@ impl Core {
                 // Memory-disambiguation check: a younger load that
                 // already executed and overlaps this store's bytes
                 // violated the dependence.
-                // pfm-lint: allow(hygiene): stores always carry a memory range
-                let range = self.rob[pos].mem_range().expect("store range");
-                let mut violator = None;
-                for d in self.rob.iter().skip(pos + 1) {
-                    if d.is_load()
-                        && matches!(d.state, InstState::Issued | InstState::Completed)
-                        && d.issue_cycle < self.cycle
-                    {
-                        if let Some(lr) = d.mem_range() {
-                            if overlaps(range, lr) {
-                                violator = Some(d.step.seq);
-                                break;
-                            }
-                        }
-                    }
-                }
-                if let Some(v) = violator {
+                let range = self.rob[pos].mem_op().range;
+                if let Some(v) = self.lq.first_violator(seq, range, self.cycle) {
                     self.stats.squash_disambiguation += 1;
                     self.squash_from(v, SquashKind::Disambiguation, hooks);
                     continue;
@@ -1041,11 +1092,9 @@ impl Core {
             if mispredicted {
                 // Resolve: repair predictor history, notify the fabric,
                 // redirect fetch.
-                // pfm-lint: allow(hygiene): seq was found in the ROB this cycle
-                let pos = self.rob_pos(seq).expect("still present");
                 let actual = self.rob[pos].step.taken;
                 let is_cond = self.rob[pos].info.is_cond_branch;
-                if let Some(cp) = self.rob[pos].checkpoint.take() {
+                if let Some(cp) = self.branches.take_checkpoint(seq) {
                     if is_cond {
                         self.bp.recover(&cp, actual);
                     } else {
@@ -1075,10 +1124,6 @@ impl Core {
     // Issue / execute
     // ------------------------------------------------------------------
 
-    fn src_ready(&self, src: Option<u64>) -> bool {
-        src.is_none_or(|s| !self.inflight_incomplete.contains(&s))
-    }
-
     fn lane_for(class: ExecClass) -> LaneClass {
         match class {
             ExecClass::Load | ExecClass::Store => LaneClass::LoadStore,
@@ -1087,20 +1132,28 @@ impl Core {
         }
     }
 
+    /// Select: walks the ready set (waiting instructions whose sources
+    /// have all completed) oldest first, issuing each that has a free
+    /// lane, up to the issue width. Wakeup happens in
+    /// [`Core::complete`], so nothing issued this cycle readies another
+    /// instruction this cycle.
     fn issue(&mut self, hooks: &mut dyn PfmHooks) {
         let mut lane_free: [usize; 3] = [4, 2, 2]; // SimpleAlu, LoadStore, Complex
         let mut issued = 0usize;
         let cycle = self.cycle;
+        let head = self.rob.front().map_or(0, |d| d.step.seq);
+        let end = head + self.rob.len() as u64;
+        let mut cursor = head;
 
-        for pos in 0..self.rob.len() {
-            if issued >= self.config.issue_width {
+        while issued < self.config.issue_width {
+            let Some(seq) = self.wake.next_ready(cursor, end) else {
                 break;
-            }
+            };
+            cursor = seq + 1;
+            let pos = (seq - head) as usize;
             let d = &self.rob[pos];
-            if d.state != InstState::Waiting || d.dispatch_ready > cycle {
-                continue;
-            }
-            if !(self.src_ready(d.srcs[0]) && self.src_ready(d.srcs[1])) {
+            debug_assert!(d.state == InstState::Waiting && d.step.seq == seq);
+            if d.dispatch_ready > cycle {
                 continue;
             }
             let lane = Self::lane_for(d.info.class);
@@ -1120,20 +1173,7 @@ impl Core {
                     let m = d.step.mem.expect("load has an access");
                     // Store-to-load forwarding: an older in-flight store
                     // with a known (executed) address that overlaps.
-                    let lr = (m.addr, m.addr + m.size);
-                    let mut forwarded = false;
-                    for s in self.rob.iter().take(pos) {
-                        if s.is_store()
-                            && matches!(s.state, InstState::Issued | InstState::Completed)
-                        {
-                            if let Some(sr) = s.mem_range() {
-                                if overlaps(sr, lr) {
-                                    forwarded = true;
-                                }
-                            }
-                        }
-                    }
-                    if forwarded {
+                    if self.sq.forwards(seq, (m.addr, m.addr + m.size), cycle) {
                         cycle + self.hierarchy.config().l1d.latency
                     } else {
                         let outcome = self.hierarchy.access(m.addr, AccessKind::Load, cycle + 1);
@@ -1167,8 +1207,14 @@ impl Core {
             d.state = InstState::Issued;
             d.issue_cycle = cycle;
             d.complete_cycle = complete_at;
-            let seq = d.step.seq;
+            if d.is_load() {
+                self.lq.issue(seq, cycle);
+            } else if d.is_store() {
+                self.sq.issue(seq, cycle);
+            }
+            self.wake.issue(seq);
             self.waiting_count -= 1;
+            self.window_changes += 1;
             let pool = &mut self.event_pool;
             self.events
                 .entry(complete_at)
@@ -1226,8 +1272,8 @@ impl Core {
             // Structural resources.
             if self.rob.len() >= self.config.rob_size
                 || self.iq_count >= self.config.iq_size
-                || (head.is_load() && self.lq_count >= self.config.ldq_size)
-                || (head.is_store() && self.sq_count >= self.config.stq_size)
+                || (head.is_load() && self.lq.len() >= self.config.ldq_size)
+                || (head.is_store() && self.sq.len() >= self.config.stq_size)
                 || (head.has_dst && self.dest_count >= self.config.rename_regs())
             {
                 break;
@@ -1245,17 +1291,18 @@ impl Core {
                 self.dest_count += 1;
                 d.has_dst = true;
             }
+            d.state = InstState::Waiting;
             if d.is_load() {
-                self.lq_count += 1;
+                self.lq.push(d.mem_op());
             }
             if d.is_store() {
-                self.sq_count += 1;
+                self.sq.push(d.mem_op());
             }
             self.iq_count += 1;
             self.waiting_count += 1;
-            d.state = InstState::Waiting;
-            self.inflight_incomplete.insert(d.step.seq);
+            self.wake.dispatch(d.step.seq, d.srcs);
             self.rob.push_back(d);
+            self.window_changes += 1;
         }
         // IQ entries free at issue; approximate by counting Waiting.
         // `waiting_count` tracks that exactly, so the refresh is O(1).
@@ -1266,7 +1313,63 @@ impl Core {
                 .filter(|d| d.state == InstState::Waiting)
                 .count()
         );
+        if cfg!(debug_assertions) && self.window_checked != self.window_changes {
+            self.window_checked = self.window_changes;
+            self.debug_check_window();
+        }
         self.iq_count = self.waiting_count;
+    }
+
+    /// Debug-build cross-check of the bookkeeping derived from the ROB
+    /// against the ROB itself:
+    /// - every entry sits at `seq - head` (consecutive seqs);
+    /// - the ready set plus the pending slots are exactly the `Waiting`
+    ///   entries, each pending count being its incomplete sources;
+    /// - the wakeup ring marks exactly the waiting and issued entries
+    ///   incomplete;
+    /// - the load and store queues are the ROB's loads and stores, in
+    ///   order, with their ranges and issue cycles.
+    fn debug_check_window(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut ready = 0;
+        for (pos, d) in self.rob.iter().enumerate() {
+            let seq = d.step.seq;
+            assert_eq!(self.rob_pos(seq), Some(pos), "ROB seqs are not consecutive");
+            let waiting = d.state == InstState::Waiting;
+            assert_eq!(
+                self.wake.is_incomplete(seq),
+                matches!(d.state, InstState::Waiting | InstState::Issued),
+                "seq {seq} incomplete mark disagrees with {:?}",
+                d.state
+            );
+            let pending = if waiting {
+                d.srcs
+                    .iter()
+                    .flatten()
+                    .filter(|&&p| self.wake.is_incomplete(p))
+                    .count()
+            } else {
+                0
+            };
+            assert_eq!(usize::from(self.wake.pending(seq)), pending, "seq {seq}");
+            let is_ready = waiting && pending == 0;
+            assert_eq!(self.wake.is_ready(seq), is_ready, "seq {seq} ready bit");
+            ready += usize::from(is_ready);
+        }
+        assert_eq!(self.wake.ready_count(), ready, "stray ready bits");
+        let loads = self.rob.iter().filter(|d| d.is_load()).map(DynInst::mem_op);
+        assert!(loads.eq(self.lq.iter().copied()), "load queue out of sync");
+        let stores = self
+            .rob
+            .iter()
+            .filter(|d| d.is_store())
+            .map(DynInst::mem_op);
+        assert!(
+            stores.eq(self.sq.iter().copied()),
+            "store queue out of sync"
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1298,7 +1401,7 @@ impl Core {
             self.stats.fetch_icache_stall_cycles += 1;
             return Ok(());
         }
-        let front_cap = self.config.fetch_width * (self.config.front_depth as usize + 1);
+        let front_cap = self.config.front_capacity();
 
         for _ in 0..self.config.fetch_width {
             if self.front.len() >= front_cap {
@@ -1350,8 +1453,6 @@ impl Core {
                 mispredicted: false,
                 target_mispredicted: false,
                 from_fabric: false,
-                prediction: None,
-                checkpoint: None,
                 ras_snap: None,
             };
 
@@ -1374,8 +1475,7 @@ impl Core {
                 }
                 d.pred_taken = used;
                 d.mispredicted = used != rec.taken;
-                d.prediction = Some(pred);
-                d.checkpoint = Some(cp);
+                self.branches.set(rec.seq, Some(pred), Some(cp));
             } else if info.is_control {
                 // jal/jalr: direction always taken; model RAS for
                 // returns and BTB for other indirect targets.
@@ -1440,8 +1540,12 @@ impl Core {
 
         // Repair predictor/RAS speculative state using the oldest
         // squashed control instruction's checkpoint.
-        for d in self.rob.iter().skip(cut).chain(self.front.iter()) {
-            if let Some(cp) = &d.checkpoint {
+        for d in self.rob.range(cut..).chain(self.front.iter()) {
+            if let Some(cp) = self
+                .branches
+                .get(d.step.seq)
+                .and_then(|m| m.checkpoint.as_ref())
+            {
                 self.bp.restore(cp);
                 break;
             }
@@ -1455,15 +1559,18 @@ impl Core {
         // buffer. Squashed bookkeeping rides along in the same pass.
         let mut scratch = std::mem::take(&mut self.squash_scratch);
         scratch.clear();
-        for d in self.rob.iter().skip(cut).chain(self.front.iter()) {
+        for d in self.rob.range(cut..).chain(self.front.iter()) {
             scratch.push(d.step);
-            self.inflight_incomplete.remove(&d.step.seq);
+            self.wake.squash(d.step.seq);
             if d.step.halted {
                 self.halt_fetched = false;
             }
         }
         scratch.extend(self.peeked.take());
         self.rob.truncate(cut);
+        self.window_changes += 1;
+        self.lq.squash_from(boundary);
+        self.sq.squash_from(boundary);
         self.front.clear();
         // The squashed records are in program order and all older than
         // anything still in the replay queue (replay drains oldest-
@@ -1482,20 +1589,20 @@ impl Core {
         }
         self.squash_scratch = scratch;
 
-        // Bookkeeping rebuilds over the surviving window (single pass).
+        // Bookkeeping rebuilds over the surviving window (single pass);
+        // surviving producers forget their squashed waiters.
         self.last_writer = [None; NUM_ARCH_REGS];
-        self.lq_count = 0;
-        self.sq_count = 0;
         self.dest_count = 0;
         self.waiting_count = 0;
         for d in &self.rob {
             if let Some((reg, _)) = d.step.wrote {
                 self.last_writer[reg.index()] = Some(d.step.seq);
             }
-            self.lq_count += usize::from(d.is_load());
-            self.sq_count += usize::from(d.is_store());
             self.dest_count += usize::from(d.has_dst);
             self.waiting_count += usize::from(d.state == InstState::Waiting);
+            if matches!(d.state, InstState::Waiting | InstState::Issued) {
+                self.wake.forget_waiters_from(d.step.seq, boundary);
+            }
         }
         self.iq_count = self.waiting_count;
 
@@ -1890,6 +1997,14 @@ mod tests {
             restored.machine().arch_checksum()
         );
         assert_eq!(core.hierarchy().stats(), restored.hierarchy().stats());
+    }
+
+    #[test]
+    fn in_flight_record_stays_small() {
+        // Branch-predictor state lives in the side table; inline, the
+        // TAGE-SC-L checkpoint alone made every record ~900 bytes.
+        let size = std::mem::size_of::<DynInst>();
+        assert!(size <= 256, "DynInst grew to {size} bytes");
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod config;
 pub mod core;
 pub mod hooks;
 pub mod stats;
+mod window;
 
 pub use crate::core::{Core, SimError};
 pub use config::{CoreConfig, LaneClass, NUM_LANES};

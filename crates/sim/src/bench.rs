@@ -15,11 +15,14 @@
 //! Throughput is *host* timing and therefore not deterministic; the
 //! harness reuses the executor's wall-clock plumbing and never touches
 //! simulated statistics, so it cannot perturb results (the golden-stats
-//! test pins those separately).
+//! test pins those separately). Each report names its host (`nproc`)
+//! and its code ([`BAKED_SOURCE_DIGEST`]), so points taken on different
+//! hosts or commits are not mistaken for one another.
 
 use crate::exec::{execute, ExecOptions};
 use crate::plan::RunSpec;
 use crate::runner::RunConfig;
+use crate::store::BAKED_SOURCE_DIGEST;
 use crate::usecases;
 
 /// Throughput of one (use-case, mode) run.
@@ -64,6 +67,10 @@ pub struct BenchReport {
     pub functional_wall_seconds: f64,
     /// Worker threads used.
     pub jobs: usize,
+    /// Host CPUs available to the process.
+    pub nproc: usize,
+    /// Source digest of the simulator that ran.
+    pub source_digest: u64,
     /// Instruction budget per run.
     pub max_instrs: u64,
 }
@@ -143,39 +150,53 @@ impl BenchReport {
     /// JSON document for `BENCH_sim_throughput.json` (hand-rolled — the
     /// workspace deliberately has no serialization dependency).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"max_instrs\": {},\n", self.max_instrs));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!("  \"wall_seconds\": {:.6},\n", self.wall_seconds));
-        out.push_str(&format!("  \"total_retired\": {},\n", self.total_retired()));
-        out.push_str(&format!(
-            "  \"aggregate_mkips\": {:.4},\n",
-            self.aggregate_mkips()
-        ));
+        self.write_json("\n", "  ")
+    }
+
+    /// The same document on one line, for appending to the
+    /// `BENCH_history.jsonl` trajectory.
+    pub fn to_json_line(&self) -> String {
+        self.write_json("", "")
+    }
+
+    /// Writes the document, ending each line with `nl` and indenting
+    /// by `ind`.
+    fn write_json(&self, nl: &str, ind: &str) -> String {
+        let mut out = format!("{{{nl}");
+        let mut field = |name: &str, value: String| {
+            out.push_str(&format!("{ind}\"{name}\": {value},{nl}"));
+        };
+        field("max_instrs", self.max_instrs.to_string());
+        field("jobs", self.jobs.to_string());
+        field("nproc", self.nproc.to_string());
+        field("source_digest", format!("\"{:016x}\"", self.source_digest));
+        field("wall_seconds", format!("{:.6}", self.wall_seconds));
+        field("total_retired", self.total_retired().to_string());
+        field("aggregate_mkips", format!("{:.4}", self.aggregate_mkips()));
         if !self.functional_rows.is_empty() {
-            out.push_str(&format!(
-                "  \"functional_wall_seconds\": {:.6},\n",
-                self.functional_wall_seconds
-            ));
-            out.push_str(&format!(
-                "  \"functional_total_retired\": {},\n",
-                self.functional_total_retired()
-            ));
-            out.push_str(&format!(
-                "  \"functional_aggregate_mkips\": {:.4},\n",
-                self.functional_aggregate_mkips()
-            ));
-            out.push_str(&format!(
-                "  \"functional_speedup\": {:.2},\n",
-                self.functional_speedup()
-            ));
+            field(
+                "functional_wall_seconds",
+                format!("{:.6}", self.functional_wall_seconds),
+            );
+            field(
+                "functional_total_retired",
+                self.functional_total_retired().to_string(),
+            );
+            field(
+                "functional_aggregate_mkips",
+                format!("{:.4}", self.functional_aggregate_mkips()),
+            );
+            field(
+                "functional_speedup",
+                format!("{:.2}", self.functional_speedup()),
+            );
         }
-        out.push_str("  \"runs\": [\n");
+        out.push_str(&format!("{ind}\"runs\": [{nl}"));
         let all: Vec<&BenchRow> = self.rows.iter().chain(&self.functional_rows).collect();
         for (i, r) in all.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": {}, \"mode\": \"{}\", \"retired\": {}, \
-                 \"seconds\": {:.6}, \"mkips\": {:.4}, \"completed\": {}}}{}\n",
+                "{ind}{ind}{{\"name\": {}, \"mode\": \"{}\", \"retired\": {}, \
+                 \"seconds\": {:.6}, \"mkips\": {:.4}, \"completed\": {}}}{}{nl}",
                 json_string(&r.name),
                 r.mode,
                 r.retired,
@@ -185,7 +206,7 @@ impl BenchReport {
                 if i + 1 < all.len() { "," } else { "" }
             ));
         }
-        out.push_str("  ]\n}\n");
+        out.push_str(&format!("{ind}]{nl}}}{nl}"));
         out
     }
 }
@@ -282,6 +303,8 @@ pub fn run_bench(rc: &RunConfig, opts: &ExecOptions, functional: bool) -> BenchR
         wall_seconds,
         functional_wall_seconds,
         jobs: opts.jobs.max(1),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        source_digest: BAKED_SOURCE_DIGEST,
         max_instrs: rc.max_instrs,
     }
 }
@@ -403,9 +426,16 @@ mod tests {
             wall_seconds: 0.5,
             functional_wall_seconds: 0.0,
             jobs: 1,
+            nproc: 2,
+            source_digest: 0xabc,
             max_instrs: 1000,
         };
         let j = report.to_json();
+        assert!(j.contains("\"nproc\": 2,"));
+        assert!(j.contains("\"source_digest\": \"0000000000000abc\","));
+        let line = report.to_json_line();
+        assert!(!line.contains('\n'), "history entries are one line");
+        assert_eq!(line.replace(' ', ""), j.replace(['\n', ' '], ""));
         assert!(j.starts_with("{\n"));
         assert!(j.ends_with("}\n"));
         assert!(j.contains("\"name\": \"astar\""));
