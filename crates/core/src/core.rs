@@ -2010,16 +2010,34 @@ mod tests {
     #[test]
     fn snapshot_restore_rejects_mismatched_config() {
         let mut a = Asm::new(0x1000);
-        a.li(A0, 1);
+        let top = a.label();
+        a.li(T0, 1000);
+        a.bind(top).unwrap();
+        a.mul(S0, S0, S0); // a serial chain, so the window fills
+        a.addi(T0, T0, -1);
+        a.bne(T0, X0, top);
         a.halt();
         let program = a.finish().unwrap();
         let machine = Machine::new(program.clone(), SpecMemory::new());
-        let core = Core::new(
+        let mut core = Core::new(
             CoreConfig::micro21(),
             machine,
             Hierarchy::new(HierarchyConfig::micro21()),
         );
+        // Past the cold I-cache miss, into the loop.
+        for _ in 0..600 {
+            core.tick(&mut NoPfm).unwrap();
+        }
+        assert!(core.rob.len() > 8, "the window must hold instructions");
         let bytes = core.snapshot();
+
+        // A window larger than the configured ROB cannot be restored:
+        // the seq-indexed wakeup ring is sized from `rob_size`.
+        let mut wrong = CoreConfig::micro21();
+        wrong.rob_size = 8;
+        let err =
+            Core::restore(wrong, HierarchyConfig::micro21(), program.clone(), &bytes).unwrap_err();
+        assert_eq!(err, pfm_isa::snap::SnapError::Corrupt("window size"));
 
         let mut wrong = CoreConfig::micro21();
         wrong.predictor = PredictorKind::Gshare;

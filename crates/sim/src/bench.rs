@@ -150,53 +150,44 @@ impl BenchReport {
     /// JSON document for `BENCH_sim_throughput.json` (hand-rolled — the
     /// workspace deliberately has no serialization dependency).
     pub fn to_json(&self) -> String {
-        self.write_json("\n", "  ")
-    }
-
-    /// The same document on one line, for appending to the
-    /// `BENCH_history.jsonl` trajectory.
-    pub fn to_json_line(&self) -> String {
-        self.write_json("", "")
-    }
-
-    /// Writes the document, ending each line with `nl` and indenting
-    /// by `ind`.
-    fn write_json(&self, nl: &str, ind: &str) -> String {
-        let mut out = format!("{{{nl}");
-        let mut field = |name: &str, value: String| {
-            out.push_str(&format!("{ind}\"{name}\": {value},{nl}"));
-        };
-        field("max_instrs", self.max_instrs.to_string());
-        field("jobs", self.jobs.to_string());
-        field("nproc", self.nproc.to_string());
-        field("source_digest", format!("\"{:016x}\"", self.source_digest));
-        field("wall_seconds", format!("{:.6}", self.wall_seconds));
-        field("total_retired", self.total_retired().to_string());
-        field("aggregate_mkips", format!("{:.4}", self.aggregate_mkips()));
+        let mut out = String::from("{\n");
+        out.push_str(&format!("  \"max_instrs\": {},\n", self.max_instrs));
+        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
+        out.push_str(&format!("  \"nproc\": {},\n", self.nproc));
+        out.push_str(&format!(
+            "  \"source_digest\": \"{:016x}\",\n",
+            self.source_digest
+        ));
+        out.push_str(&format!("  \"wall_seconds\": {:.6},\n", self.wall_seconds));
+        out.push_str(&format!("  \"total_retired\": {},\n", self.total_retired()));
+        out.push_str(&format!(
+            "  \"aggregate_mkips\": {:.4},\n",
+            self.aggregate_mkips()
+        ));
         if !self.functional_rows.is_empty() {
-            field(
-                "functional_wall_seconds",
-                format!("{:.6}", self.functional_wall_seconds),
-            );
-            field(
-                "functional_total_retired",
-                self.functional_total_retired().to_string(),
-            );
-            field(
-                "functional_aggregate_mkips",
-                format!("{:.4}", self.functional_aggregate_mkips()),
-            );
-            field(
-                "functional_speedup",
-                format!("{:.2}", self.functional_speedup()),
-            );
+            out.push_str(&format!(
+                "  \"functional_wall_seconds\": {:.6},\n",
+                self.functional_wall_seconds
+            ));
+            out.push_str(&format!(
+                "  \"functional_total_retired\": {},\n",
+                self.functional_total_retired()
+            ));
+            out.push_str(&format!(
+                "  \"functional_aggregate_mkips\": {:.4},\n",
+                self.functional_aggregate_mkips()
+            ));
+            out.push_str(&format!(
+                "  \"functional_speedup\": {:.2},\n",
+                self.functional_speedup()
+            ));
         }
-        out.push_str(&format!("{ind}\"runs\": [{nl}"));
+        out.push_str("  \"runs\": [\n");
         let all: Vec<&BenchRow> = self.rows.iter().chain(&self.functional_rows).collect();
         for (i, r) in all.iter().enumerate() {
             out.push_str(&format!(
-                "{ind}{ind}{{\"name\": {}, \"mode\": \"{}\", \"retired\": {}, \
-                 \"seconds\": {:.6}, \"mkips\": {:.4}, \"completed\": {}}}{}{nl}",
+                "    {{\"name\": {}, \"mode\": \"{}\", \"retired\": {}, \
+                 \"seconds\": {:.6}, \"mkips\": {:.4}, \"completed\": {}}}{}\n",
                 json_string(&r.name),
                 r.mode,
                 r.retired,
@@ -206,8 +197,15 @@ impl BenchReport {
                 if i + 1 < all.len() { "," } else { "" }
             ));
         }
-        out.push_str(&format!("{ind}]{nl}}}{nl}"));
+        out.push_str("  ]\n}\n");
         out
+    }
+
+    /// The same document on one line, for appending to the
+    /// `BENCH_history.jsonl` trajectory. (String values are escaped, so
+    /// every line break in [`BenchReport::to_json`] is layout.)
+    pub fn to_json_line(&self) -> String {
+        self.to_json().lines().map(str::trim).collect()
     }
 }
 
