@@ -163,48 +163,46 @@ diff <(grep -v '^plan:' "$store_dir/cold.out") \
     exit 1
 }
 
-echo "== experiment service gate (--serve / --worker) =="
-# A daemon in front of a fresh store must shard a cold request across
-# at least two worker processes, answer the repeated request without
-# simulating, and return identical assembled stats.
-sock="$store_dir/repro.sock"
-"$repro_bin" --serve --store "$store_dir/serve-store" --socket "$sock" --jobs 4 \
-    > "$store_dir/serve.log" 2>&1 &
-serve_pid=$!
-# Never leak the daemon: any exit from here on tears it down, and
-# every client call plus the shutdown wait is bounded, so a wedged
-# daemon fails the gate instead of hanging CI.
-trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
-for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.1; done
-[ -S "$sock" ] || { echo "daemon never bound $sock" >&2; exit 1; }
-timeout 120 "$repro_bin" fig8 --quick --connect --socket "$sock" \
-    > "$store_dir/serve-cold.out" 2> "$store_dir/serve-cold.log"
-timeout 120 "$repro_bin" fig8 --quick --connect --socket "$sock" \
-    > "$store_dir/serve-warm.out" 2> "$store_dir/serve-warm.log"
-timeout 30 "$repro_bin" --connect --shutdown --socket "$sock" > /dev/null 2>&1
-for _ in $(seq 100); do kill -0 "$serve_pid" 2>/dev/null || break; sleep 0.1; done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    echo "daemon did not exit after --shutdown" >&2
-    exit 1
-fi
-wait "$serve_pid"
-trap - EXIT
-grep -Eq "sharding across ([2-9]|[0-9]{2,}) worker process" "$store_dir/serve-cold.log" || {
-    echo "cold request did not shard across >=2 worker processes" >&2
-    cat "$store_dir/serve-cold.log" >&2
+echo "== result store two-process gate =="
+# Two plain repro processes share one fresh store concurrently. Both
+# must succeed with identical stats, the shared log must hold no
+# damaged region and serve every run the cold plan missed, and a third
+# run must be answered entirely from the store.
+shared="$store_dir/shared"
+timeout 300 "$repro_bin" fig8 --quick --jobs 2 --store "$shared" \
+    > "$store_dir/p1.out" 2> "$store_dir/p1.log" &
+p1_pid=$!
+timeout 300 "$repro_bin" fig8 --quick --jobs 2 --store "$shared" \
+    > "$store_dir/p2.out" 2> "$store_dir/p2.log" &
+p2_pid=$!
+p1_rc=0; wait "$p1_pid" || p1_rc=$?
+p2_rc=0; wait "$p2_pid" || p2_rc=$?
+[ "$p1_rc" -eq 0 ] && [ "$p2_rc" -eq 0 ] || {
+    echo "concurrent store clients failed (exit $p1_rc, $p2_rc)" >&2
+    cat "$store_dir/p1.log" "$store_dir/p2.log" >&2
     exit 1
 }
-grep -q "0 simulated" "$store_dir/serve-warm.out" || {
-    echo "warm serve request still simulated" >&2
+diff <(grep -v '^plan:' "$store_dir/p1.out") \
+     <(grep -v '^plan:' "$store_dir/p2.out") || {
+    echo "concurrent store clients printed different stats" >&2
     exit 1
 }
-grep -q "answering entirely from the store" "$store_dir/serve-warm.log" || {
-    echo "warm serve request probed past the store" >&2
+shared_stats="$(timeout 60 "$repro_bin" --store-stats --store "$shared")"
+echo "$shared_stats" | grep -q " 0 damaged region(s)" || {
+    echo "shared store log has damaged regions:" >&2
+    echo "$shared_stats" >&2
     exit 1
 }
-diff <(grep -v '^serve:' "$store_dir/serve-cold.out") \
-     <(grep -v '^serve:' "$store_dir/serve-warm.out") || {
-    echo "serve stats differ between cold and warm requests" >&2
+echo "$shared_stats" | grep -q "servable under this fingerprint: $cold_misses result(s)" || {
+    echo "shared store does not serve the $cold_misses run(s) the cold plan missed:" >&2
+    echo "$shared_stats" >&2
+    exit 1
+}
+third_plan="$(timeout 60 "$repro_bin" fig8 --quick --jobs 2 --store "$shared" 2>/dev/null \
+    | grep '^plan:' || true)"
+echo "$third_plan" | grep -q "store: $cold_misses hit(s), 0 miss(es)" \
+    && echo "$third_plan" | grep -q "(0.0s simulated)" || {
+    echo "run after the concurrent pair was not 100% store hits: $third_plan" >&2
     exit 1
 }
 rm -rf "$store_dir"

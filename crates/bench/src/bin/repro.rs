@@ -22,17 +22,14 @@
 //! repro --store <dir>        # result store directory (default .pfm-store)
 //! repro --no-store           # disable the result store
 //! repro --store-stats        # print store contents and exit
-//! repro --serve              # experiment-service daemon (Unix socket)
-//! repro --connect [ids...]   # send a plan request to a running daemon
-//! repro --connect --shutdown # stop the daemon
-//! repro --socket <path>      # socket path for --serve/--connect
 //! ```
 //!
 //! Results are cached in a content-addressed store keyed by
 //! `(spec content key, code fingerprint)`: a warm invocation serves
 //! hits at memory speed and only simulates what the store has never
-//! seen. `--serve` puts a daemon in front of the same store, sharding
-//! cache-missing runs across `repro --worker` child processes.
+//! seen. Several `repro` processes may share one store directory; each
+//! simulates its own misses and appends whole records, so a later run
+//! is served whatever any of them completed.
 //!
 //! A failed, panicked or hung run never aborts the process: the
 //! executor isolates it, the remaining experiments still assemble, and
@@ -40,9 +37,19 @@
 
 use pfm_sim::experiments::{plan_for, ALL_IDS, EXTRA_IDS};
 use pfm_sim::store::{find_workspace_root, CodeFingerprint, ResultStore};
-use pfm_sim::{run_bench, run_plans, run_sampled, service, ExecOptions, RunConfig, SampledConfig};
+use pfm_sim::{run_bench, run_plans, run_sampled, ExecOptions, RunConfig, SampledConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+/// The run configuration `--quick` selects: the paper scale, capped
+/// at 300k instructions per run.
+fn run_config_for(quick: bool) -> RunConfig {
+    let mut rc = RunConfig::paper_scale();
+    if quick {
+        rc.max_instrs = 300_000;
+    }
+    rc
+}
 
 /// Exits with a contextual message on stderr; used for conditions the
 /// user cannot distinguish from a hang otherwise (broken pipe aside,
@@ -132,25 +139,8 @@ fn open_store(choice: &StoreChoice) -> Option<Arc<ResultStore>> {
     }
 }
 
-/// The socket a daemon/client pair agrees on when `--socket` is not
-/// given: `repro.sock` inside the store directory (explicit or the
-/// workspace default). `None` when no directory can be derived.
-fn default_socket(choice: &StoreChoice) -> Option<PathBuf> {
-    let dir = match choice {
-        StoreChoice::Explicit(dir) => dir.clone(),
-        StoreChoice::Default | StoreChoice::Disabled => find_workspace_root()?.join(".pfm-store"),
-    };
-    Some(dir.join("repro.sock"))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-
-    // Worker role first: the child must never parse user-facing flags
-    // or touch the store — its whole world is the stdin assignment.
-    if args.iter().any(|a| a == "--worker") {
-        std::process::exit(service::worker_main());
-    }
 
     let mut quick = false;
     let mut all = false;
@@ -161,12 +151,8 @@ fn main() {
     let mut analyze = false;
     let mut derive = false;
     let mut keep_going = false;
-    let mut serve = false;
-    let mut connect = false;
-    let mut shutdown = false;
     let mut store_stats = false;
     let mut store_choice = StoreChoice::Default;
-    let mut socket: Option<PathBuf> = None;
     let mut jobs: Option<usize> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut bad_args: Vec<String> = Vec::new();
@@ -182,9 +168,6 @@ fn main() {
             "--analyze" => analyze = true,
             "--derive" => derive = true,
             "--keep-going" => keep_going = true,
-            "--serve" => serve = true,
-            "--connect" => connect = true,
-            "--shutdown" => shutdown = true,
             "--store-stats" => store_stats = true,
             "--no-store" => store_choice = StoreChoice::Disabled,
             "--chaos" => ids.push("chaos".to_string()),
@@ -193,10 +176,6 @@ fn main() {
             "--store" => match it.next() {
                 Some(dir) => store_choice = StoreChoice::Explicit(PathBuf::from(dir)),
                 None => bad_args.push("--store <dir>".to_string()),
-            },
-            "--socket" => match it.next() {
-                Some(path) => socket = Some(PathBuf::from(path)),
-                None => bad_args.push("--socket <path>".to_string()),
             },
             "--sampled" => match it.next() {
                 Some(name) => sampled = Some(name),
@@ -223,40 +202,17 @@ fn main() {
         }
     }
 
-    let rc_for_menu = service::run_config_for(quick);
+    let rc = run_config_for(quick);
     if !bad_args.is_empty() {
         eprintln!("unknown argument(s): {}", bad_args.join(", "));
         eprintln!();
-        print_menu(&mut std::io::stderr(), None, &rc_for_menu);
+        print_menu(&mut std::io::stderr(), None, &rc);
         eprintln!(
             "\nflags: --all --quick --list --bench --functional --sampled <usecase> \
              --analyze --derive --chaos --chaos-smoke --context-switch --keep-going \
-             --jobs <N> --store <dir> --no-store --store-stats --serve --connect \
-             --shutdown --socket <path>"
+             --jobs <N> --store <dir> --no-store --store-stats"
         );
         std::process::exit(1);
-    }
-
-    // Client role: ship the request to a daemon and stream its answer.
-    // The daemon owns the store; the client needs only the socket.
-    if connect {
-        let sock = socket.clone().unwrap_or_else(|| {
-            default_socket(&store_choice)
-                .unwrap_or_else(|| fail("--connect needs a socket", "pass --socket <path>"))
-        });
-        let req = if shutdown {
-            service::Request::Shutdown
-        } else {
-            service::Request::Plan(service::PlanRequest {
-                ids: ids.clone(),
-                quick,
-                jobs: jobs.unwrap_or(0),
-            })
-        };
-        match service::request(&sock, &req) {
-            Ok(code) => std::process::exit(code),
-            Err(e) => fail(&format!("cannot reach daemon at {}", sock.display()), e),
-        }
     }
 
     let store = open_store(&store_choice);
@@ -269,32 +225,8 @@ fn main() {
         return;
     }
 
-    // Server role: bind the socket and answer plan requests until a
-    // client sends --shutdown.
-    if serve {
-        let sock = socket.clone().unwrap_or_else(|| {
-            default_socket(&store_choice)
-                .unwrap_or_else(|| fail("--serve needs a socket", "pass --socket <path>"))
-        });
-        if let Some(parent) = sock.parent() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                fail("cannot create socket directory", e);
-            }
-        }
-        let opts = service::ServeOptions {
-            socket: sock,
-            jobs: jobs.unwrap_or_else(|| ExecOptions::default().jobs),
-            store,
-            worker_exe: None,
-        };
-        if let Err(e) = service::serve(&opts) {
-            fail("experiment service failed", e);
-        }
-        return;
-    }
-
     if list {
-        print_menu(&mut std::io::stdout(), store.as_deref(), &rc_for_menu);
+        print_menu(&mut std::io::stdout(), store.as_deref(), &rc);
         return;
     }
 
@@ -358,8 +290,6 @@ fn main() {
         all = true;
     }
 
-    let rc = service::run_config_for(quick);
-
     if bench {
         let opts = ExecOptions {
             jobs: jobs.unwrap_or_else(|| ExecOptions::default().jobs),
@@ -392,8 +322,8 @@ fn main() {
     }
 
     // Sampled mode: functional fast-forward with evenly spaced machine
-    // snapshots, then parallel detailed intervals assembled into a mean
-    // IPC with a 95% confidence interval.
+    // snapshots, then parallel detailed intervals assembled into a
+    // ratio IPC estimate with a 95% confidence interval.
     if let Some(name) = sampled {
         let factory = pfm_sim::usecases::throughput_suite_factories()
             .into_iter()

@@ -27,7 +27,7 @@ use pfm_isa::fxhash::FxHashMap;
 use pfm_isa::inst::{ExecClass, Inst};
 use pfm_isa::machine::{ExecError, Machine, StepOut};
 use pfm_isa::program::Program;
-use pfm_isa::snap::{read_version, write_version, Dec, Enc, SnapError};
+use pfm_isa::snap::{read_version, write_version, Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
 use pfm_isa::InstInfo;
 use pfm_mem::cache::line_of;
 use pfm_mem::{AccessKind, Hierarchy, HierarchyConfig, HitLevel};
@@ -367,10 +367,6 @@ pub struct Core {
 
     stats: SimStats,
 }
-
-/// FNV-1a constants for the commit-stream checksum.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

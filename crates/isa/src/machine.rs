@@ -12,7 +12,7 @@ use crate::inst::{AluOp, FAluOp, Inst, MemWidth};
 use crate::mem::SpecMemory;
 use crate::program::{Program, ProgramError};
 use crate::reg::{FReg, Reg, RegRef, NUM_FP_REGS, NUM_INT_REGS};
-use crate::snap::{Dec, Enc, SnapError};
+use crate::snap::{Dec, Enc, SnapError, FNV_OFFSET, FNV_PRIME};
 
 /// A functional memory access performed by one instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,8 +169,6 @@ impl Machine {
     /// microarchitecturally only). The timing core cross-checks this in
     /// debug builds around every hook call.
     pub fn arch_checksum(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x100_0000_01b3;
         let mut h = FNV_OFFSET;
         let mut fold = |v: u64| {
             h ^= v;

@@ -31,7 +31,6 @@ pub mod plan;
 pub mod runner;
 pub mod sampled;
 pub mod schedule;
-pub mod service;
 pub mod store;
 pub mod usecases;
 

@@ -380,7 +380,7 @@ impl RunOutcome {
     }
 
     /// Serializes the outcome (tag byte + payload) for the result
-    /// store and the worker-process protocol. Deterministic failures
+    /// store. Deterministic failures
     /// serialize too: a structured simulator error replays identically
     /// and is as cacheable as a success.
     pub fn snapshot_encode(&self, e: &mut Enc) {

@@ -1,8 +1,8 @@
 //! Sampled detailed simulation: functional fast-forward to evenly
 //! spaced checkpoint positions, cycle-simulate a bounded detailed
 //! interval at each (in parallel, through the deduplicating executor),
-//! and assemble a whole-program IPC estimate with per-interval
-//! variance and a confidence interval.
+//! and assemble a whole-program IPC estimate (Σretired / Σcycles) with
+//! a confidence interval taken on per-interval CPI.
 //!
 //! This is the two-speed payoff: a 20 M-instruction workload that
 //! would take minutes of detailed simulation is characterized in
@@ -144,40 +144,67 @@ pub struct SampledReport {
 }
 
 impl SampledReport {
-    /// Mean of the per-interval IPCs (the sampled whole-program IPC
-    /// estimate).
-    pub fn mean_ipc(&self) -> f64 {
-        if self.rows.is_empty() {
+    /// Whole-program CPI estimate: the ratio Σcycles / Σretired over
+    /// the measured windows (0 when nothing retired).
+    pub fn cpi(&self) -> f64 {
+        let retired = self.detailed_instrs();
+        if retired == 0 {
             return 0.0;
         }
-        self.rows.iter().map(IntervalRow::ipc).sum::<f64>() / self.rows.len() as f64
+        self.rows.iter().map(|r| r.cycles).sum::<u64>() as f64 / retired as f64
     }
 
-    /// Unbiased sample variance of the per-interval IPCs.
-    pub fn ipc_variance(&self) -> f64 {
-        let n = self.rows.len();
-        if n < 2 {
-            return 0.0;
+    /// Whole-program IPC estimate: Σretired / Σcycles, the reciprocal
+    /// of [`SampledReport::cpi`]. Averaging per-interval IPCs instead
+    /// would weight a slow interval's cycles too little.
+    pub fn ipc(&self) -> f64 {
+        let cpi = self.cpi();
+        if cpi == 0.0 {
+            0.0
+        } else {
+            1.0 / cpi
         }
-        let mean = self.mean_ipc();
-        self.rows
-            .iter()
-            .map(|r| {
-                let d = r.ipc() - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / (n - 1) as f64
     }
 
     /// Half-width of the normal-approximation 95 % confidence interval
-    /// on the mean IPC: `1.96 * sqrt(s^2 / n)`.
-    pub fn ci95_half_width(&self) -> f64 {
-        let n = self.rows.len();
-        if n < 2 {
+    /// on [`SampledReport::cpi`]: `1.96 * se`, with the ratio
+    /// estimator's standard error
+    /// `se^2 = Σ(cycles_i - cpi * retired_i)^2 / ((n - 1) * n * mean_retired^2)`.
+    /// With equal-length intervals this is the sample variance of the
+    /// per-interval CPIs over `n`.
+    pub fn cpi_ci95_half_width(&self) -> f64 {
+        let (n, retired) = (self.rows.len(), self.detailed_instrs());
+        if n < 2 || retired == 0 {
             return 0.0;
         }
-        1.96 * (self.ipc_variance() / n as f64).sqrt()
+        let cpi = self.cpi();
+        let mean_retired = retired as f64 / n as f64;
+        let ss: f64 = self
+            .rows
+            .iter()
+            .map(|r| {
+                let d = r.cycles as f64 - cpi * r.retired as f64;
+                d * d
+            })
+            .sum();
+        let var = ss / ((n - 1) as f64 * n as f64 * mean_retired * mean_retired);
+        1.96 * var.sqrt()
+    }
+
+    /// The 95 % CPI confidence interval mapped to IPC, `(low, high)`.
+    /// It is not symmetric around [`SampledReport::ipc`]; `high` is
+    /// infinite when the CPI interval reaches zero.
+    pub fn ipc_ci95(&self) -> (f64, f64) {
+        let (cpi, h) = (self.cpi(), self.cpi_ci95_half_width());
+        if cpi == 0.0 {
+            return (0.0, 0.0);
+        }
+        let high = if cpi - h > 0.0 {
+            1.0 / (cpi - h)
+        } else {
+            f64::INFINITY
+        };
+        (1.0 / (cpi + h), high)
     }
 
     /// Total detailed instructions measured across intervals.
@@ -212,10 +239,11 @@ impl SampledReport {
                 if r.completed { "yes" } else { "no" }
             ));
         }
+        let (low, high) = self.ipc_ci95();
         s.push_str(&format!(
-            "mean IPC {:.4} ± {:.4} (95% CI over {} intervals), {:.1}s wall\n",
-            self.mean_ipc(),
-            self.ci95_half_width(),
+            "IPC {:.4} (Σretired/Σcycles), 95% CI [{low:.4}, {high:.4}] from per-interval CPI \
+             over {} intervals, unvalidated, {:.1}s wall\n",
+            self.ipc(),
             self.rows.len(),
             self.wall_seconds
         ));
@@ -227,8 +255,8 @@ impl SampledReport {
 /// fast-forward capturing a machine snapshot at each of
 /// `cfg.intervals` evenly spaced positions, then `cfg.intervals`
 /// detailed interval simulations executed in parallel through the
-/// deduplicating executor, assembled into a mean IPC with a 95 %
-/// confidence interval.
+/// deduplicating executor, assembled into a ratio IPC estimate with a
+/// 95 % confidence interval.
 ///
 /// `rc` supplies the detailed machine (core + hierarchy) and the
 /// hang guards; its `max_instrs` is overridden per interval.
@@ -354,11 +382,42 @@ mod tests {
             assert!(r.cycles > 0);
             assert!(r.ipc() > 0.0);
         }
-        assert!(rep.mean_ipc() > 0.0);
-        assert!(rep.ci95_half_width() >= 0.0);
+        assert!(rep.ipc() > 0.0);
+        let (low, high) = rep.ipc_ci95();
+        assert!(low <= rep.ipc() && rep.ipc() <= high);
         assert!(rep.functional_instrs >= cfg.total_instrs.min(rep.functional_instrs));
         let rendered = rep.render();
-        assert!(rendered.contains("mean IPC"), "render: {rendered}");
+        assert!(rendered.contains("unvalidated"), "render: {rendered}");
+    }
+
+    #[test]
+    fn ipc_is_the_ratio_estimate_with_a_cpi_interval() {
+        let row = |retired, cycles| IntervalRow {
+            position: 0,
+            retired,
+            cycles,
+            completed: false,
+        };
+        let rep = SampledReport {
+            name: "hand-built".to_string(),
+            functional_instrs: 200,
+            functional_completed: false,
+            rows: vec![row(100, 100), row(100, 300)],
+            wall_seconds: 0.0,
+        };
+        // Σretired/Σcycles = 200/400, not the mean of 1.0 and 1/3.
+        assert_eq!(rep.ipc(), 0.5);
+        assert_eq!(rep.cpi(), 2.0);
+        // Per-interval CPIs 1 and 3: s^2 = 2, se = sqrt(2/2) = 1.
+        assert!((rep.cpi_ci95_half_width() - 1.96).abs() < 1e-12);
+        let (low, high) = rep.ipc_ci95();
+        assert!((low - 1.0 / 3.96).abs() < 1e-12);
+        assert!((high - 1.0 / 0.04).abs() < 1e-9);
+        let rendered = rep.render();
+        assert!(
+            rendered.contains("IPC 0.5000") && rendered.contains("unvalidated"),
+            "render: {rendered}"
+        );
     }
 
     #[test]
